@@ -77,10 +77,10 @@ run_service_chaos_smoke() {
       --workdir "${builddir}/bench_service_work"
 }
 
-echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + fuzz + service =="
+echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + engine + fuzz + service =="
 cmake -B build-asan -S . -DGSNP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j >/dev/null
-ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|fuzz|sam|test_service|histogram|eventlog|batcher'
+ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|engine|test_obs|fuzz|sam|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under ASan: fault matrix, fsck corpus, socket chaos =="
 ctest --test-dir build-asan --output-on-failure -R 'fsfault|fsck|chaos'

@@ -135,8 +135,8 @@ struct BatchStats {
   /// max over batches of the cost model's planned peak.
   u64 planned_peak_bytes = 0;
   /// max over batches of the device watermark actually measured while the
-  /// batch's phases ran (serial device path; 0 for host backends, which use
-  /// the plan for loop chunking only).
+  /// batch's phases ran (serial device path; 0 for host backends, which
+  /// only plan).
   u64 actual_peak_bytes = 0;
 
   /// Fold one window's plan into the run aggregate.

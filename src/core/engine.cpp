@@ -1,8 +1,10 @@
 #include "src/core/engine.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <memory>
+#include <type_traits>
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
@@ -217,9 +219,9 @@ void record_run_metrics(obs::Tracer* tracer, const char* engine,
 /// > 0) and fold the plan into the run aggregate.  The device engine packs
 /// from the sparse base-word CSR (the payload that actually lands on the
 /// card); SOAPsnp, which has no sparse CSR, packs from the observation CSR —
-/// per-site observation counts, the same depth signal.  Host backends use
-/// the plan only to chunk their per-site loops (identical arithmetic, so
-/// identical output), keeping RunReport::batch meaningful on every backend.
+/// per-site observation counts, the same depth signal.  Only the device
+/// engine executes the plan; the host backends plan to keep RunReport::batch
+/// meaningful on every backend (their per-site loops are batch-invariant).
 std::optional<BatchPlan> maybe_plan_batches(const EngineConfig& config,
                                             std::span<const u64> offsets,
                                             RunReport& report) {
@@ -229,149 +231,239 @@ std::optional<BatchPlan> maybe_plan_batches(const EngineConfig& config,
   return plan;
 }
 
-// ---- overlapped (double-buffered) pipeline variants ------------------------
+// ---- the windowed pipeline driver ------------------------------------------
 //
-// Selected by config.streams >= 2.  The serial paths above are the
-// bit-exactness reference and stay untouched; the overlapped variants run
-// the same arithmetic on the same data in the same order — only *when* each
-// stage executes relative to the others changes — so their output is
-// byte-identical (enforced by tests/test_determinism).  The reduction-order
-// rule that makes this true: every per-window artifact (counts, likelihoods,
-// rows, output frames) is produced by exactly one stage, stages of one
-// window are chained in serial order, and cross-window interleavings never
-// share mutable state (disjoint window slots; the output writer consumes
-// windows in index order via an ordered task chain / a dedicated stream).
+// Every engine is one loop over loader windows (paper Fig. 2): read and count
+// window i into a slot, compute its likelihood and posterior, emit its rows.
+// run_pipeline owns that loop; an engine supplies only the stages.  The slot
+// ring has depth 1 when config.streams <= 1: every stage runs inline on the
+// calling thread and device work goes to the default queue — the serial
+// reference path.  Otherwise it has max(2, pipeline_depth) slots: a host
+// thread pool prefetches window i+1 into the next slot while window i
+// computes, and window i's output is deferred so it overlaps window i+1 (an
+// ordered pool task on the host engines, the device's output lane on gsnp).
+//
+// Any depth produces byte-identical output (tests/test_determinism) because
+// the same arithmetic runs on the same data in the same order: every
+// per-window artifact is produced by exactly one stage, the stages of one
+// window are chained in serial order, and concurrent stages never share
+// mutable state — a slot's load writes everything but `rows`, and the
+// deferred output reads only `rows`, in window order.
 
-/// SOAPsnp, overlapped: a host thread-pool prefetches (reads + recycles +
-/// counts) window i+1 into its own dense slot while the main thread computes
-/// likelihood/posterior for window i, and window i-1's text output drains
-/// through an ordered pool task.
-RunReport run_soapsnp_overlapped(const EngineConfig& config) {
+/// One window in flight.  `Store` is the engine's per-site structure: dense
+/// base_occ (SOAPsnp) or sparse base_word (the GSNP engines).
+template <class Store>
+struct Slot {
+  explicit Slot(u32 window) : store(window) {}
+  WindowRecords win;
+  WindowObs obs;
+  std::vector<SiteStats> stats;
+  Store store;
+  std::optional<BatchPlan> plan;
+  std::vector<SnpRow> rows;
+  std::shared_future<void> write_done;  // deferred output of `rows`
+  bool loaded = false;
+};
+
+using DenseSlot = Slot<BaseOccWindow>;
+using SparseSlot = Slot<BaseWordWindow>;
+
+void count(DenseSlot& s) {
+  count_window(s.win, s.obs, s.stats, &s.store, nullptr);
+}
+void count(SparseSlot& s) {
+  count_window(s.win, s.obs, s.stats, nullptr, &s.store);
+}
+/// Dense recycle is the full memset of the window (Table IV's dominant
+/// SOAPsnp cost); sparse recycle only resets the offsets.
+void recycle(DenseSlot& s, u32) { s.store.recycle(); }
+void recycle(SparseSlot& s, u32 window) { s.store.reset(window); }
+std::span<const u64> plan_offsets(const DenseSlot& s) { return s.obs.offsets; }
+std::span<const u64> plan_offsets(const SparseSlot& s) {
+  return s.store.offsets;
+}
+u64 store_bytes(const DenseSlot& s) { return s.store.bytes(); }
+u64 store_bytes(const SparseSlot& s) {
+  return s.store.words.size() * sizeof(u32);
+}
+
+/// Runs `Engine`'s stages over every window of the input; see above.  The
+/// engine is constructed from (config, report, args...) and provides:
+///   Slot                  DenseSlot or SparseSlot
+///   kDeviceOutput         emit() defers on the device's own output lane, so
+///                         the driver calls it inline even on the ring
+///   name()                metrics tag
+///   calibrate(pm)         score tables from the cal_p matrix
+///   open(ring) -> u32     create the output writer; returns device streams
+///   compute(slot)         likelihood + posterior -> slot.rows
+///   emit(slot)            write slot.rows
+///   finish() -> u64       flush, fill the run totals; returns output bytes
+///   table_bytes()         host bytes of the score tables
+template <class Engine, class... Args>
+RunReport run_pipeline(const EngineConfig& config, Args&&... args) {
   GSNP_CHECK(config.reference != nullptr);
   const genome::Reference& ref = *config.reference;
-  const u32 window_size = config.window_size
-                              ? config.window_size
-                              : EngineConfig::kDefaultSoapsnpWindow;
+  obs::Tracer* const tracer = config.tracer;
   RunReport report;
   report.sites = ref.size();
-  report.streams_used = config.streams;
-  obs::Tracer* const tracer = config.tracer;
+  Engine eng(config, report, std::forward<Args>(args)...);
+  using EngineSlot = typename Engine::Slot;
+  constexpr bool kSparse = std::is_same_v<EngineSlot, SparseSlot>;
 
-  PMatrix pm;
   {
+    // cal_p includes temp-file generation (the sparse engines stream their
+    // windows from it) plus the score tables (paper Table IV note).
     const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/false);
-    pm = std::move(cal.pm);
+    CalPResult cal = cal_p_pass(config, /*write_temp=*/kSparse);
     report.records = cal.records;
+    report.temp_bytes = cal.temp_bytes;
     report.ingest = cal.ingest;
+    eng.calibrate(std::move(cal.pm));
   }
 
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    std::unique_ptr<BaseOccWindow> dense;
-    std::vector<TypeLikely> type_likely;
-    std::vector<SnpRow> rows;
-    std::shared_future<void> write_done;  // this slot's rows are in flight
-    bool loaded = false;
-  };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
-  for (Slot& s : slots)
-    s.dense = std::make_unique<BaseOccWindow>(window_size);
-
+  const bool ring = config.streams >= 2;
+  const u32 depth = ring ? std::max<u32>(2, config.pipeline_depth) : 1;
+  const u32 window = config.window_size ? config.window_size
+                     : kSparse          ? EngineConfig::kDefaultGsnpWindow
+                                        : EngineConfig::kDefaultSoapsnpWindow;
+  std::vector<EngineSlot> slots;
+  slots.reserve(depth);
+  for (u32 i = 0; i < depth; ++i) slots.emplace_back(window);
   WindowLoader loader(
-      text_source(config.alignment_file, config.ingest, ref.size()),
-      ref.size(), window_size);
-  SnpTextWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
-  const int threads = std::max(1, config.soapsnp_threads);
+      kSparse ? temp_source(config.temp_file)
+              : text_source(config.alignment_file, config.ingest, ref.size()),
+      ref.size(), window);
+  report.streams_used = eng.open(ring);
+  u64 max_store_bytes = 0;
 
-  // Runs on the pool; at most one prefetch task is in flight at a time, so
-  // loader access is serialized.  Recycle moves from "after output" to
-  // "before count" of the slot's next occupant — numerically identical (a
-  // zeroed matrix is a zeroed matrix), and it rides the prefetch thread.
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
+  // On the ring this runs on the pool, one prefetch at a time, so loader
+  // access is serialized; a failure (CancelledError, BatchBudgetError, ...)
+  // unwinds through the prefetch future into the main loop.
+  const auto load = [&](EngineSlot& s) {
     check_cancel(config.cancel, "window");
     {
       const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
+      s.loaded = loader.next(s.win);
     }
-    if (!slot.loaded) return;
-    {
+    if (!s.loaded) return;
+    if (ring) {
+      // The slot's previous occupant is recycled on the way in rather than
+      // after its output, which may still be draining: numerically identical
+      // (a zeroed matrix is a zeroed matrix), and it rides the prefetch.
       const StageScope scope(report.host, tracer, "recycle");
-      slot.dense->recycle();
+      recycle(s, window);
     }
     {
       const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, slot.dense.get(), nullptr);
+      count(s);
     }
+    max_store_bytes = std::max(max_store_bytes, store_bytes(s));
+    s.plan = maybe_plan_batches(config, plan_offsets(s), report);
   };
 
-  std::shared_future<void> last_write;  // ordered output chain
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
+  std::shared_future<void> last_write;  // ordered output chain (ring)
+  std::future<void> prefetch;
+  std::optional<ThreadPool> pool;  // last: joined before what its tasks use
+  if (ring) {
+    pool.emplace(std::max<u32>(1, config.host_threads));
+    prefetch = pool->submit([&, s = &slots[0]] { load(*s); });
+  }
   for (u64 i = 0;; ++i) {
-    prefetch.get();  // window i ingested (or end of input); rethrows errors
-    Slot& slot = slots[i % depth];
+    EngineSlot& slot = slots[i % depth];
+    if (ring)
+      prefetch.get();  // window i ingested (or end of input); rethrows
+    else
+      load(slot);
     if (!slot.loaded) break;
     ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
-    {
-      const StageScope scope(report.host, tracer, "likeli");
-      slot.type_likely.resize(slot.win.size);
-      if (const auto plan =
-              maybe_plan_batches(config, slot.obs.offsets, report)) {
-        for (const SiteBatch& b : plan->batches) {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-          for (i64 s = b.begin; s < static_cast<i64>(b.end); ++s)
-            slot.type_likely[static_cast<std::size_t>(s)] =
-                likelihood_dense_site(slot.dense->site(static_cast<u32>(s)),
-                                      pm);
-        }
-      } else {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-        for (i64 s = 0; s < static_cast<i64>(slot.win.size); ++s)
-          slot.type_likely[static_cast<std::size_t>(s)] =
-              likelihood_dense_site(slot.dense->site(static_cast<u32>(s)), pm);
-      }
-    }
-    // The slot's previous occupant may still be draining through the writer;
-    // its rows must not be overwritten until that write retires.
+    if (ring)
+      prefetch = pool->submit([&, s = &slots[(i + 1) % depth]] { load(*s); });
+    // The slot's previous occupant may still be writing its rows.
     if (slot.write_done.valid()) slot.write_done.wait();
-    {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows, nullptr, threads);
+    eng.compute(slot);
+    if (ring && !Engine::kDeviceOutput) {
+      // Window i writes while window i+1 computes.  Each task waits its
+      // predecessor, so windows reach the file in index order.
+      last_write = pool->submit([&eng, s = &slot, prev = last_write] {
+                         if (prev.valid()) prev.wait();
+                         eng.emit(*s);
+                       })
+                       .share();
+      slot.write_done = last_write;
+    } else {
+      eng.emit(slot);
     }
-    // Deferred output: window i writes while iteration i+1 computes.  Each
-    // task waits its predecessor, so windows hit the file in index order.
-    const std::shared_future<void> prev = last_write;
-    last_write = host_pool
-                     .submit([&, s = &slot, prev] {
-                       if (prev.valid()) prev.wait();
-                       const StageScope scope(report.host, tracer, "output");
-                       writer.write_window(s->rows);
-                     })
-                     .share();
-    slot.write_done = last_write;
+    if (!ring) {
+      const StageScope scope(report.host, tracer, "recycle");
+      recycle(slot, window);
+    }
   }
   // Join every outstanding write; get() rethrows the first failure.
-  for (Slot& slot : slots)
-    if (slot.write_done.valid()) slot.write_done.get();
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes =
-      depth * slots[0].dense->bytes() + pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, "soapsnp", report);
+  for (EngineSlot& s : slots)
+    if (s.write_done.valid()) s.write_done.get();
+  report.output_bytes = eng.finish();
+  report.peak_host_bytes = depth * max_store_bytes + eng.table_bytes();
+  record_run_metrics(tracer, eng.name(), report);
   return report;
 }
+
+// ---- per-engine stages -------------------------------------------------------
+
+/// SOAPsnp: dense base_occ, Algorithm 1 likelihood (optionally over
+/// soapsnp_threads), plain text output.
+class SoapsnpEngine {
+ public:
+  using Slot = DenseSlot;
+  static constexpr bool kDeviceOutput = false;
+
+  SoapsnpEngine(const EngineConfig& config, RunReport& report)
+      : config_(config),
+        report_(report),
+        priors_(config.prior),
+        threads_(std::max(1, config.soapsnp_threads)) {}
+  // The driver's deferred output tasks hold the engine's address.
+  SoapsnpEngine(const SoapsnpEngine&) = delete;
+  SoapsnpEngine& operator=(const SoapsnpEngine&) = delete;
+
+  const char* name() const { return "soapsnp"; }
+  void calibrate(PMatrix pm) { pm_ = std::move(pm); }
+  u32 open(bool) {
+    writer_.emplace(config_.output_file, config_.reference->name());
+    return 0;
+  }
+
+  void compute(Slot& s) {
+    {
+      const StageScope scope(report_.host, config_.tracer, "likeli");
+      type_likely_.resize(s.win.size);
+#pragma omp parallel for schedule(dynamic, 64) num_threads(threads_) \
+    if (threads_ > 1)
+      for (i64 i = 0; i < static_cast<i64>(s.win.size); ++i)
+        type_likely_[static_cast<std::size_t>(i)] = likelihood_dense_site(
+            s.store.site(static_cast<u32>(i)), pm_);
+    }
+    const StageScope scope(report_.host, config_.tracer, "post");
+    window_posterior(config_, priors_, s.win, s.obs, s.stats, type_likely_,
+                     s.rows, nullptr, threads_);
+  }
+
+  void emit(const Slot& s) {
+    const StageScope scope(report_.host, config_.tracer, "output");
+    writer_->write_window(s.rows);
+  }
+
+  u64 finish() { return writer_->finish(); }
+  u64 table_bytes() const { return pm_.flat().size() * sizeof(double); }
+
+ private:
+  const EngineConfig& config_;
+  RunReport& report_;
+  PriorCache priors_;
+  const int threads_;
+  PMatrix pm_;
+  std::vector<TypeLikely> type_likely_;
+  std::optional<SnpTextWriter> writer_;
+};
 
 /// Parameterization of the host sparse engine: gsnp_cpu and gsnp_simd run
 /// the identical pipeline over the identical data; only the per-site
@@ -386,696 +478,422 @@ struct HostSparseOps {
   simd::SelectFn select;
 };
 
-/// Host sparse engine, overlapped: same shape as SOAPsnp's variant with the
-/// sparse representation — prefetch packs base_words for window i+1 while
-/// the main thread sorts + computes window i and the pool
-/// RLE-DICT-compresses and writes window i-1 (the compression lives inside
-/// the deferred output task, which is the point: it rides a spare host
-/// thread).
-RunReport run_host_sparse_overlapped(const EngineConfig& config,
-                                     const HostSparseOps& ops) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  report.streams_used = config.streams;
-  obs::Tracer* const tracer = config.tracer;
+/// What both sparse engines share: the score tables, the prior cache and
+/// the compressed (GSNPOUT2) writer.
+class SparseEngineBase {
+ public:
+  using Slot = SparseSlot;
 
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
+  SparseEngineBase(const EngineConfig& config, RunReport& report)
+      : config_(config),
+        report_(report),
+        tracer_(config.tracer),
+        priors_(config.prior) {}
+  // Deferred output tasks, stream ops and the RLE callback hold the
+  // engine's address.
+  SparseEngineBase(const SparseEngineBase&) = delete;
+  SparseEngineBase& operator=(const SparseEngineBase&) = delete;
+
+  void calibrate(PMatrix pm) {
+    pm_ = std::move(pm);
+    npm_.emplace(pm_);
+  }
+  u64 table_bytes() const {
+    return (npm_->flat().size() + pm_.flat().size()) * sizeof(double);
   }
 
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    BaseWordWindow sparse;
-    std::vector<TypeLikely> type_likely;
-    std::vector<SnpRow> rows;
-    std::shared_future<void> write_done;
-    bool loaded = false;
-  };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
+ protected:
+  void open_writer() {
+    writer_.emplace(config_.output_file, config_.reference->name());
+  }
 
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  const RleDictFn rle = host_rle_dict();
-  PriorCache priors(config.prior);
-  u64 max_words = 0;
+  const EngineConfig& config_;
+  RunReport& report_;
+  obs::Tracer* const tracer_;
+  PriorCache priors_;
+  PMatrix pm_;
+  std::optional<NewPMatrix> npm_;
+  std::vector<TypeLikely> type_likely_;
+  std::optional<SnpOutputWriter> writer_;
+};
 
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
-    }
-    if (!slot.loaded) return;
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      slot.sparse.reset(window_size);
-    }
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, nullptr, &slot.sparse);
-      max_words = std::max<u64>(max_words, slot.sparse.words.size());
-    }
-  };
+/// GSNP's algorithm on the host (gsnp_cpu / gsnp_simd): per-array
+/// quicksort, new_p_matrix likelihood, host RLE-DICT output.
+class HostSparseEngine : public SparseEngineBase {
+ public:
+  static constexpr bool kDeviceOutput = false;
 
-  std::shared_future<void> last_write;
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
-  for (u64 i = 0;; ++i) {
-    prefetch.get();
-    Slot& slot = slots[i % depth];
-    if (!slot.loaded) break;
-    ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
+  HostSparseEngine(const EngineConfig& config, RunReport& report,
+                   const HostSparseOps& ops)
+      : SparseEngineBase(config, report), ops_(ops) {}
+
+  const char* name() const { return ops_.engine; }
+  u32 open(bool) {
+    open_writer();
+    return 0;
+  }
+
+  void compute(Slot& s) {
     {
-      const StageScope likeli_scope(report.host, tracer, "likeli");
+      // The aggregate "likeli" component is measured directly as the scope
+      // enclosing both phases, so it cannot drift from sort + comp.
+      const StageScope likeli(report_.host, tracer_, "likeli");
       {
-        const StageScope sort_scope(report.host, tracer, "likeli_sort");
-        likelihood_sort_cpu(slot.sparse);
+        const StageScope sort(report_.host, tracer_, "likeli_sort");
+        likelihood_sort_cpu(s.store);
       }
-      {
-        StageScope comp_scope(report.host, tracer, "likeli_comp");
-        if (ops.simd_level != nullptr) {
-          comp_scope.note("backend", ops.engine);
-          comp_scope.note("simd", ops.simd_level);
-        }
-        slot.type_likely.resize(slot.win.size);
-        if (const auto plan =
-                maybe_plan_batches(config, slot.sparse.offsets, report)) {
-          for (const SiteBatch& b : plan->batches)
-            for (u32 s = b.begin; s < b.end; ++s)
-              slot.type_likely[s] =
-                  ops.sparse_site(slot.sparse.site(s), *npm);
-        } else {
-          for (u32 s = 0; s < slot.win.size; ++s)
-            slot.type_likely[s] = ops.sparse_site(slot.sparse.site(s), *npm);
-        }
-      }
+      StageScope comp(report_.host, tracer_, "likeli_comp");
+      annotate(comp);
+      type_likely_.resize(s.win.size);
+      for (u32 i = 0; i < s.win.size; ++i)
+        type_likely_[i] = ops_.sparse_site(s.store.site(i), *npm_);
     }
-    if (slot.write_done.valid()) slot.write_done.wait();
-    {
-      StageScope scope(report.host, tracer, "post");
-      if (ops.simd_level != nullptr) {
-        scope.note("backend", ops.engine);
-        scope.note("simd", ops.simd_level);
-      }
-      window_posterior(config, priors, slot.win, slot.obs, slot.stats,
-                       slot.type_likely, slot.rows, nullptr, 1, ops.select);
-    }
-    const std::shared_future<void> prev = last_write;
-    last_write = host_pool
-                     .submit([&, s = &slot, prev] {
-                       if (prev.valid()) prev.wait();
-                       const StageScope scope(report.host, tracer, "output");
-                       writer.write_window(s->rows, rle);
-                     })
-                     .share();
-    slot.write_done = last_write;
-  }
-  for (Slot& slot : slots)
-    if (slot.write_done.valid()) slot.write_done.get();
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = depth * max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, ops.engine, report);
-  return report;
-}
-
-/// GSNP, overlapped: the full three-way overlap of the paper's pipeline.
-/// Device work for window i is *enqueued* onto async streams (h2d copies on
-/// the copy stream, sort + likelihood on the compute stream, chained by
-/// events) together with window i-1's device-RLE output on the output
-/// stream, then drained in one deterministic sync — the overlap-aware wall
-/// clock charges max(compute, transfer, output) across the lanes.  The host
-/// thread-pool prefetches window i+1 meanwhile.  Per-component modeled
-/// seconds come from the per-op counter deltas in the pool's execution log,
-/// mapped to the same components the serial path charges.
-RunReport run_gsnp_overlapped(const EngineConfig& config, device::Device& dev,
-                              const device::PerfModel& model) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-  const device::DeviceCounters run_start = dev.counters();
-
-  // Synchronous device stage (table upload happens before the pipeline).
-  const auto device_scope = [&](const char* name, auto&& body) {
-    obs::Tracer::Scope span(tracer, name, "stage", &dev, &model);
-    span.set_host_seconds(0.0);
-    const device::DeviceCounters before = dev.counters();
-    body();
-    const device::DeviceCounters delta =
-        device::counters_delta(before, dev.counters());
-    report.device_modeled.add(name, model.seconds(delta));
-  };
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  std::optional<DeviceScoreTables> tables;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-    device_scope("cal_p", [&] { tables.emplace(dev, pm, *npm); });
+    StageScope post(report_.host, tracer_, "post");
+    annotate(post);
+    window_posterior(config_, priors_, s.win, s.obs, s.stats, type_likely_,
+                     s.rows, nullptr, 1, ops_.select);
   }
 
-  struct Slot {
-    WindowRecords win;
-    WindowObs obs;
-    std::vector<SiteStats> stats;
-    BaseWordWindow sparse;
-    std::vector<TypeLikely> type_likely;
-    std::vector<GenotypePriors> window_priors;
+  void emit(const Slot& s) {
+    const StageScope scope(report_.host, tracer_, "output");
+    writer_->write_window(s.rows, rle_);
+  }
+
+  u64 finish() { return writer_->finish(); }
+
+ private:
+  void annotate(StageScope& scope) const {
+    if (ops_.simd_level == nullptr) return;
+    scope.note("backend", ops_.engine);
+    scope.note("simd", ops_.simd_level);
+  }
+
+  const HostSparseOps ops_;
+  const RleDictFn rle_ = host_rle_dict();
+};
+
+/// GSNP: multipass batch bitonic sort, the optimized likelihood kernel and
+/// the posterior on the device, device RLE-DICT output compression.  Device
+/// time is modeled from measured counters; host time is wall-clock.
+class GsnpEngine : public SparseEngineBase {
+ public:
+  static constexpr bool kDeviceOutput = true;
+
+  GsnpEngine(const EngineConfig& config, RunReport& report,
+             device::Device& dev, const device::PerfModel& model)
+      : SparseEngineBase(config, report),
+        dev_(dev),
+        model_(model),
+        run_start_(dev.counters()) {}
+
+  const char* name() const { return "gsnp"; }
+
+  void calibrate(PMatrix pm) {
+    SparseEngineBase::calibrate(std::move(pm));
+    // load_table (Fig 2): tables uploaded once, before any likelihood work.
+    device_scope("cal_p", [&] { tables_.emplace(dev_, pm_, *npm_); });
+  }
+
+  /// Serial work uses the device's default queue.  The ring opens a
+  /// StreamPool: sort + likelihood + posterior on the compute lane, uploads
+  /// on the copy lane, output on its own lane from three streams up.
+  u32 open(bool ring) {
+    open_writer();
+    if (!ring) return 1;
+    const u32 n = std::min<u32>(std::max<u32>(config_.streams, 2), 8);
+    pool_.emplace(dev_, n);
+    pool_->set_listener(&stream_spans_);
+    compute_ = &pool_->stream(0);
+    copy_ = &pool_->stream(1);
+    out_ = &pool_->stream(n >= 3 ? 2 : 1);
+    return n;
+  }
+
+  void compute(Slot& s) {
     std::vector<PosteriorCall> calls;
-    std::vector<SnpRow> rows;
-    std::optional<device::DeviceBuffer<u32>> words_dev;
-    std::optional<device::DeviceBuffer<u64>> offsets_dev;
-    /// Batched mode: the window's pack plan and one rebased CSR slice per
-    /// batch, built on the prefetch thread; the slices must outlive the
-    /// stream drain (memcpy_h2d reads them at execution time).
-    std::optional<BatchPlan> plan;
-    std::vector<std::vector<u64>> boffsets;
-    bool loaded = false;
-  };
-  const u32 depth = std::max<u32>(2, config.pipeline_depth);
-  std::vector<Slot> slots(depth);
+    if (s.plan) {
+      for (const SiteBatch& b : s.plan->batches) run_batch(s, b, calls);
+    } else {
+      SiteBatch whole;  // a fixed window is the single batch [0, win.size)
+      whole.end = s.win.size;
+      whole.words_end = s.store.words.size();
+      run_batch(s, whole, calls);
+    }
+    // Statistics columns assembled on the host (measured).
+    const StageScope scope(report_.host, tracer_, "post");
+    window_posterior(config_, priors_, s.win, s.obs, s.stats, type_likely_,
+                     s.rows, &calls);
+  }
 
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
+  /// Serial: write now.  Ring: the write rides the output lane beside the
+  /// next window's likelihood (flush_output).
+  void emit(const Slot& s) {
+    if (pool_)
+      pending_ = &s;
+    else
+      write(s);
+  }
 
-  // Host "output" cost: wall time of write_window minus the simulator wall
-  // burned inside the device RLE-DICT kernels (modeled, not measured).
-  double rle_sim_wall = 0.0;
-  double output_host_wall = 0.0;
-  const RleDictFn rle = [&rle_sim_wall, &dev, &model, tracer](
-                            std::span<const u32> column, std::vector<u8>& out) {
-    obs::Tracer::Scope span(tracer, "rle_dict", "compress", &dev, &model);
+  u64 finish() {
+    flush_output();
+    report_.device_modeled.add("likeli",
+                               report_.device_modeled.get("likeli_sort") +
+                                   report_.device_modeled.get("likeli_comp"));
+    const u64 output_bytes = writer_->finish();
+    report_.peak_device_bytes = dev_.peak_allocated_bytes();
+    report_.device_counters = dev_.counters();
+    const device::DeviceCounters run_delta =
+        device::counters_delta(run_start_, dev_.counters());
+    // No-overlap baseline; the serial path's wall is exactly this.
+    report_.modeled_serial_seconds = model_.seconds(run_delta);
+    report_.modeled_wall_seconds = report_.modeled_serial_seconds;
+    if (pool_) {
+      // Overlap-aware replay of the stream timelines, plus the device work
+      // that ran outside any stream (the cal_p table upload) charged
+      // serially.
+      for (u32 i = 0; i < pool_->size(); ++i)
+        report_.stream_counters.push_back(pool_->stream_counters(i));
+      report_.modeled_wall_seconds =
+          pool_->modeled_wall_seconds(model_) +
+          model_.seconds(device::counters_delta(
+              pool_->total_stream_counters(), run_delta));
+    }
+    return output_bytes;
+  }
+
+ private:
+  using Work = std::function<void()>;
+
+  /// A device stage: the counter delta over `body` is modeled into GPU
+  /// seconds (Table IV's device columns).  The span mirrors the same delta
+  /// and model, with host_sec pinned to zero — the wall time `body` burns is
+  /// simulator time, not time on the modeled hardware.
+  template <class Body>
+  void device_scope(const char* name, Body&& body) {
+    obs::Tracer::Scope span(tracer_, name, "stage", &dev_, &model_);
+    span.set_host_seconds(0.0);
+    const device::DeviceCounters before = dev_.counters();
+    body();
+    report_.device_modeled.add(
+        name, model_.seconds(device::counters_delta(before, dev_.counters())));
+  }
+
+  /// Issues `kernel` as device stage `stage`, preceded by `upload` (op name
+  /// `h2d`) when one is given.  Serial: both run now on the default queue
+  /// under one device_scope.  Ring: the upload is enqueued on the copy lane
+  /// and the kernel on `lane` behind its event, each running under a
+  /// device_scope of the same stage when the pool drains.  Either way the
+  /// report and the trace see the same exact counter deltas.
+  void issue(const char* stage, device::Stream* lane, Work kernel,
+             const char* h2d = nullptr, Work upload = {}) {
+    const auto transfer = [this, h2d, upload] {
+      obs::Tracer::Scope span(tracer_, h2d, "transfer", &dev_, &model_);
+      span.set_host_seconds(0.0);
+      upload();
+    };
+    if (!pool_) {
+      device_scope(stage, [&] {
+        if (upload) transfer();
+        kernel();
+      });
+      return;
+    }
+    if (upload) {
+      const device::Event uploaded = pool_->create_event();
+      copy_->enqueue(device::StreamOpKind::kH2d, h2d,
+                     [this, stage, transfer](device::Device&) {
+                       device_scope(stage, transfer);
+                     });
+      copy_->record(uploaded);
+      lane->wait(uploaded);
+    }
+    lane->enqueue(device::StreamOpKind::kLaunch, stage,
+                  [this, stage, kernel](device::Device&) {
+                    device_scope(stage, kernel);
+                  });
+  }
+
+  void drain() {
+    if (pool_) pool_->sync();
+  }
+
+  /// The device chain for sites [b.begin, b.end) of the window: upload,
+  /// multipass sort, likelihood, posterior.  A fixed window is the single
+  /// batch [0, win.size).  Per-site arithmetic is batch-invariant and rows
+  /// are assembled and written once per window, so output is byte-identical
+  /// at any budget; only the launch geometry (and the counters) change.
+  void run_batch(const Slot& s, const SiteBatch& b,
+                 std::vector<PosteriorCall>& calls) {
+    // A real budget on the serial path: span the batch and measure its
+    // actual allocation watermark against the planned peak — the property
+    // admission control relies on.  The watermark covers the batch's
+    // incremental footprint over the resident score tables (the budget
+    // bounds the batch; worst_case_device_bytes accounts for the tables).
+    // On the ring the previous window's output shares the device, so
+    // nothing is measured there.
+    const bool measured = s.plan && !pool_;
+    std::optional<obs::Tracer::Scope> batch_span;
+    u64 batch_base = 0;
+    if (measured) {
+      batch_span.emplace(tracer_, "batch", "batcher", &dev_, &model_);
+      batch_span->set_host_seconds(0.0);
+      batch_span->note("sites", std::to_string(b.sites()));
+      batch_span->note("words", std::to_string(b.words()));
+      batch_span->note("planned_peak_bytes",
+                       std::to_string(b.planned_peak_bytes));
+      batch_base = dev_.allocated_bytes();
+      dev_.reset_peak_watermark();
+    }
+
+    // Batch-local CSR: site i owns words [offsets[i], offsets[i+1]) of the
+    // batch's word upload.
+    const std::span<const u32> words =
+        std::span<const u32>(s.store.words).subspan(b.words_begin, b.words());
+    std::span<const u64> offsets =
+        std::span<const u64>(s.store.offsets).subspan(b.begin, b.sites() + 1);
+    if (b.words_begin != 0) {
+      rebased_.assign(offsets.begin(), offsets.end());
+      for (u64& o : rebased_) o -= b.words_begin;
+      offsets = rebased_;
+    }
+    const u32 first = b.begin;
+    const u32 sites = b.sites();
+    {
+      // The words go to the device once and stay resident through sorting
+      // and likelihood (the production data flow); only the ten
+      // log-likelihoods per site come back.  This span's delta is
+      // likeli_sort + likeli_comp (the model is linear in the counters), so
+      // the trace agrees with the aggregate component.
+      obs::Tracer::Scope likeli(tracer_, "likeli", "stage", &dev_, &model_);
+      likeli.set_host_seconds(0.0);
+      issue(
+          "likeli_sort", compute_,
+          [this, offsets] {
+            sortnet::sort_device_multipass_resident(
+                dev_, *words_dev_, offsets, sortnet::kDefaultClassBounds,
+                tracer_);
+          },
+          "h2d:base_word",
+          [this, words] { words_dev_.emplace(dev_.to_device(words)); });
+      issue(
+          "likeli_comp", compute_,
+          [this, &s, first, sites] {
+            land(type_likely_,
+                 device_likelihood_sparse_resident(dev_, *words_dev_,
+                                                   *offsets_dev_, sites,
+                                                   *tables_),
+                 first, s.win.size);
+          },
+          "h2d:offsets",
+          [this, offsets] { offsets_dev_.emplace(dev_.to_device(offsets)); });
+      drain();
+    }
+    flush_output();
+    words_dev_.reset();
+    offsets_dev_.reset();
+    // Posterior: priors on the host (measured), genotype selection on the
+    // device (modeled); the statistics columns follow in compute().
+    std::vector<GenotypePriors> batch_priors(sites);
+    {
+      const StageScope scope(report_.host, tracer_, "post");
+      for (u32 i = 0; i < sites; ++i) {
+        const u64 pos = s.win.start + first + i;
+        const genome::KnownSnpEntry* known =
+            config_.dbsnp ? config_.dbsnp->find(pos) : nullptr;
+        batch_priors[i] = priors_.get(config_.reference->base(pos), known);
+      }
+    }
+    issue("post", compute_, [this, &s, &batch_priors, &calls, first, sites] {
+      land(calls,
+           device_posterior(dev_,
+                            std::span<const TypeLikely>(type_likely_)
+                                .subspan(first, sites),
+                            batch_priors),
+           first, s.win.size);
+    });
+    drain();
+
+    if (measured) {
+      const u64 actual = dev_.peak_since_watermark() - batch_base;
+      report_.batch.record_actual(actual);
+      batch_span->note("actual_peak_bytes", std::to_string(actual));
+    }
+  }
+
+  /// Places one batch's per-site results at their window offset.  A
+  /// whole-window batch hands its vector over instead of copying it.
+  template <class T>
+  static void land(std::vector<T>& window, std::vector<T>&& batch, u32 first,
+                   u32 window_sites) {
+    if (batch.size() == window_sites) {
+      window = std::move(batch);
+      return;
+    }
+    window.resize(window_sites);
+    std::copy(batch.begin(), batch.end(), window.begin() + first);
+  }
+
+  /// Host output seconds = wall time minus the simulator wall burned inside
+  /// the device RLE-DICT kernels (their time is modeled, not measured).
+  void write(const Slot& s) {
+    StageScope scope(report_.host, tracer_, "output");
+    rle_sim_wall_ = 0.0;
+    device_scope("output", [&] { writer_->write_window(s.rows, rle_); });
+    scope.deduct(rle_sim_wall_);
+  }
+
+  /// Ring: the previous window's output goes on the output lane behind this
+  /// window's uploads, so the modeled timeline overlaps it with the
+  /// likelihood; it drains after them (drain order does not move the
+  /// per-stream timelines), keeping the "likeli" span free of output work.
+  void flush_output() {
+    if (pending_ == nullptr) return;
+    out_->enqueue(device::StreamOpKind::kLaunch, "output",
+                  [this, s = pending_](device::Device&) { write(*s); });
+    pending_ = nullptr;
+    drain();
+  }
+
+  device::Device& dev_;
+  const device::PerfModel& model_;
+  const device::DeviceCounters run_start_;
+  std::optional<DeviceScoreTables> tables_;
+  // The six quality columns go through the device RLE-DICT kernels; their
+  // modeled time is charged to "output" by the enclosing device_scope.
+  double rle_sim_wall_ = 0.0;
+  const RleDictFn rle_ = [this](std::span<const u32> column,
+                                std::vector<u8>& out) {
+    obs::Tracer::Scope span(tracer_, "rle_dict", "compress", &dev_, &model_);
     span.set_host_seconds(0.0);
     const Timer t;
-    compress::device_encode_rle_dict(dev, column, out);
-    rle_sim_wall += t.seconds();
+    compress::device_encode_rle_dict(dev_, column, out);
+    rle_sim_wall_ += t.seconds();
   };
 
-  const u32 n_streams = std::min<u32>(std::max<u32>(config.streams, 2), 8);
-  device::StreamPool pool(dev, n_streams);
-  obs::StreamSpanListener stream_spans(tracer, &dev, &model);
-  pool.set_listener(&stream_spans);
-  device::Stream& s_compute = pool.stream(0);
-  device::Stream& s_copy = pool.stream(1);
-  device::Stream& s_out = pool.stream(n_streams >= 3 ? 2 : 1);
+  // One batch's device-chain state (all of it retires within compute()).
+  std::vector<u64> rebased_;
+  std::optional<device::DeviceBuffer<u32>> words_dev_;
+  std::optional<device::DeviceBuffer<u64>> offsets_dev_;
 
-  // Same component attribution as the serial path's device_scope calls: the
-  // window upload belongs to likelihood_sort, the offsets upload to
-  // likelihood_comp (each precedes the kernel it feeds).
-  const auto component_of = [](const std::string& name) -> const char* {
-    if (name == "h2d:base_word" || name == "likeli_sort") return "likeli_sort";
-    if (name == "h2d:offsets" || name == "likeli_comp") return "likeli_comp";
-    if (name == "post") return "post";
-    if (name == "output") return "output";
-    return nullptr;
-  };
-  std::size_t log_cursor = 0;
-  const auto drain = [&] {
-    pool.sync();
-    const auto& log = pool.log();
-    for (; log_cursor < log.size(); ++log_cursor) {
-      const device::StreamOpRecord& rec = log[log_cursor];
-      if (const char* comp = component_of(rec.name))
-        report.device_modeled.add(comp, model.seconds(rec.delta));
-    }
-  };
-
-  u64 max_words = 0;
-  const auto load_into = [&](Slot& slot) {
-    // Cancellation point for the overlapped paths: the CancelledError unwinds
-    // through the prefetch future into the main loop's get().
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      slot.loaded = loader.next(slot.win);
-    }
-    if (!slot.loaded) return;
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      slot.sparse.reset(window_size);
-    }
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(slot.win, slot.obs, slot.stats, nullptr, &slot.sparse);
-      max_words = std::max<u64>(max_words, slot.sparse.words.size());
-      // Pack plan + rebased CSR slices ride the prefetch thread; a
-      // BatchBudgetError unwinds through the prefetch future's get().
-      slot.plan = maybe_plan_batches(config, slot.sparse.offsets, report);
-      slot.boffsets.clear();
-      if (slot.plan) {
-        slot.boffsets.resize(slot.plan->batches.size());
-        for (std::size_t bi = 0; bi < slot.plan->batches.size(); ++bi) {
-          const SiteBatch& b = slot.plan->batches[bi];
-          slot.boffsets[bi].resize(b.sites() + 1);
-          for (u32 s = 0; s <= b.sites(); ++s)
-            slot.boffsets[bi][s] =
-                slot.sparse.offsets[b.begin + s] - b.words_begin;
-        }
-      }
-    }
-  };
-
-  const auto enqueue_output = [&](Slot* ps) {
-    s_out.enqueue(device::StreamOpKind::kLaunch, "output",
-                  [&, ps](device::Device&) {
-                    const Timer t;
-                    rle_sim_wall = 0.0;
-                    writer.write_window(ps->rows, rle);
-                    output_host_wall +=
-                        std::max(0.0, t.seconds() - rle_sim_wall);
-                  });
-  };
-
-  ThreadPool host_pool(std::max<u32>(1, config.host_threads));
-  Slot* prev_slot = nullptr;
-  std::future<void> prefetch =
-      host_pool.submit([&, s = &slots[0]] { load_into(*s); });
-  for (u64 i = 0;; ++i) {
-    prefetch.get();
-    Slot& slot = slots[i % depth];
-    if (!slot.loaded) {
-      if (prev_slot != nullptr) {  // flush the last window's output
-        enqueue_output(prev_slot);
-        drain();
-      }
-      break;
-    }
-    ++report.windows;
-    prefetch = host_pool.submit(
-        [&, s = &slots[(i + 1) % depth]] { load_into(*s); });
-
-    Slot* const cur = &slot;
-    if (cur->plan) {
-      // Stage A, batched: each batch's upload + sort + likelihood is
-      // enqueued and drained before the next batch uploads, so at most one
-      // batch is device-resident at a time (the budget's whole point).
-      // Window i-1's device-RLE output is enqueued alongside the first
-      // batch, keeping the output-lane overlap.  The plan is identical to
-      // the serial path's (same offsets, same budget), and so is the
-      // arithmetic — the actual watermark is only measured serially, where
-      // no concurrent output scratch pollutes it.
-      cur->type_likely.resize(cur->win.size);
-      bool output_enqueued = false;
-      for (std::size_t bi = 0; bi < cur->plan->batches.size(); ++bi) {
-        const SiteBatch& b = cur->plan->batches[bi];
-        const device::Event e_words = pool.create_event();
-        const device::Event e_offsets = pool.create_event();
-        s_copy.memcpy_h2d(cur->words_dev,
-                          std::span<const u32>(cur->sparse.words)
-                              .subspan(b.words_begin, b.words()),
-                          "h2d:base_word");
-        s_copy.record(e_words);
-        s_copy.memcpy_h2d(cur->offsets_dev,
-                          std::span<const u64>(cur->boffsets[bi]),
-                          "h2d:offsets");
-        s_copy.record(e_offsets);
-        s_compute.wait(e_words);
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "likeli_sort",
-            [&, cur, bi](device::Device& d) {
-              sortnet::sort_device_multipass_resident(
-                  d, *cur->words_dev, cur->boffsets[bi],
-                  sortnet::kDefaultClassBounds, tracer);
-            });
-        s_compute.wait(e_offsets);
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "likeli_comp",
-            [&, cur, bi](device::Device& d) {
-              const SiteBatch& bb = cur->plan->batches[bi];
-              const std::vector<TypeLikely> btl =
-                  device_likelihood_sparse_resident(d, *cur->words_dev,
-                                                    *cur->offsets_dev,
-                                                    bb.sites(), *tables);
-              std::copy(btl.begin(), btl.end(),
-                        cur->type_likely.begin() + bb.begin);
-            });
-        if (!output_enqueued && prev_slot != nullptr) {
-          enqueue_output(prev_slot);
-          output_enqueued = true;
-        }
-        drain();
-        cur->words_dev.reset();
-        cur->offsets_dev.reset();
-      }
-
-      // Stage B, batched: priors on the host, then one posterior launch per
-      // batch over its likelihood/prior slices.  Ops run sequentially on the
-      // compute stream, so each batch's posterior scratch is freed before
-      // the next allocates.
-      {
-        const StageScope scope(report.host, tracer, "post");
-        cur->window_priors.resize(cur->win.size);
-        for (u32 s = 0; s < cur->win.size; ++s) {
-          const u64 pos = cur->win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          cur->window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      cur->calls.resize(cur->win.size);
-      for (std::size_t bi = 0; bi < cur->plan->batches.size(); ++bi) {
-        s_compute.enqueue(
-            device::StreamOpKind::kLaunch, "post",
-            [&, cur, bi](device::Device& d) {
-              const SiteBatch& bb = cur->plan->batches[bi];
-              const std::vector<PosteriorCall> bcalls = device_posterior(
-                  d,
-                  std::span<const TypeLikely>(cur->type_likely)
-                      .subspan(bb.begin, bb.sites()),
-                  std::span<const GenotypePriors>(cur->window_priors)
-                      .subspan(bb.begin, bb.sites()));
-              std::copy(bcalls.begin(), bcalls.end(),
-                        cur->calls.begin() + bb.begin);
-            });
-      }
-      drain();
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, cur->win, cur->obs, cur->stats,
-                         cur->type_likely, cur->rows, &cur->calls);
-      }
-      prev_slot = cur;
-      continue;
-    }
-
-    // Stage A: window i's upload (copy stream) + sort + likelihood (compute
-    // stream, event-chained behind the uploads) concurrent with window
-    // i-1's device-RLE output (output stream).
-    const device::Event e_words = pool.create_event();
-    const device::Event e_offsets = pool.create_event();
-    s_copy.memcpy_h2d(cur->words_dev,
-                      std::span<const u32>(cur->sparse.words),
-                      "h2d:base_word");
-    s_copy.record(e_words);
-    s_copy.memcpy_h2d(cur->offsets_dev,
-                      std::span<const u64>(cur->sparse.offsets),
-                      "h2d:offsets");
-    s_copy.record(e_offsets);
-    s_compute.wait(e_words);
-    s_compute.enqueue(
-        device::StreamOpKind::kLaunch, "likeli_sort",
-        [&, cur](device::Device& d) {
-          sortnet::sort_device_multipass_resident(
-              d, *cur->words_dev, cur->sparse.offsets,
-              sortnet::kDefaultClassBounds, tracer);
-        });
-    s_compute.wait(e_offsets);
-    s_compute.enqueue(
-        device::StreamOpKind::kLaunch, "likeli_comp",
-        [&, cur](device::Device& d) {
-          cur->type_likely = device_likelihood_sparse_resident(
-              d, *cur->words_dev, *cur->offsets_dev, cur->win.size, *tables);
-        });
-    if (prev_slot != nullptr) enqueue_output(prev_slot);
-    drain();
-
-    // Stage B: posterior for window i.  A second, short drain: the kernel
-    // consumes the likelihoods stage A materialized.
-    {
-      const StageScope scope(report.host, tracer, "post");
-      cur->window_priors.resize(cur->win.size);
-      for (u32 s = 0; s < cur->win.size; ++s) {
-        const u64 pos = cur->win.start + s;
-        const genome::KnownSnpEntry* known =
-            config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-        cur->window_priors[s] = priors.get(ref.base(pos), known);
-      }
-    }
-    s_compute.enqueue(device::StreamOpKind::kLaunch, "post",
-                      [&, cur](device::Device& d) {
-                        cur->calls = device_posterior(d, cur->type_likely,
-                                                      cur->window_priors);
-                      });
-    drain();
-    {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, cur->win, cur->obs, cur->stats,
-                       cur->type_likely, cur->rows, &cur->calls);
-    }
-    // Window i's device residency ends here; i-1's buffers were already
-    // dropped, so at most one window's data is resident at a time.
-    cur->words_dev.reset();
-    cur->offsets_dev.reset();
-    prev_slot = cur;
-  }
-  report.host.add("output", output_host_wall);
-  report.device_modeled.add("likeli",
-                            report.device_modeled.get("likeli_sort") +
-                                report.device_modeled.get("likeli_comp"));
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = depth * max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  report.peak_device_bytes = dev.peak_allocated_bytes();
-  report.device_counters = dev.counters();
-  report.streams_used = n_streams;
-  for (u32 i = 0; i < n_streams; ++i)
-    report.stream_counters.push_back(pool.stream_counters(i));
-  const device::DeviceCounters run_delta =
-      device::counters_delta(run_start, dev.counters());
-  report.modeled_serial_seconds = model.seconds(run_delta);
-  // Wall = overlap-aware replay of the stream timelines, plus the device
-  // work that ran outside any stream (the cal_p table upload) charged
-  // serially.
-  report.modeled_wall_seconds =
-      pool.modeled_wall_seconds(model) +
-      model.seconds(device::counters_delta(pool.total_stream_counters(),
-                                           run_delta));
-  record_run_metrics(tracer, "gsnp", report);
-  return report;
-}
+  // The ring (null on the serial path).
+  obs::StreamSpanListener stream_spans_{tracer_, &dev_, &model_};
+  std::optional<device::StreamPool> pool_;
+  device::Stream* compute_ = nullptr;
+  device::Stream* copy_ = nullptr;
+  device::Stream* out_ = nullptr;
+  const Slot* pending_ = nullptr;  // emitted, not yet on the output lane
+};
 
 }  // namespace
 
 RunReport run_soapsnp(const EngineConfig& config) {
-  if (config.streams >= 2) return run_soapsnp_overlapped(config);
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size = config.window_size
-                              ? config.window_size
-                              : EngineConfig::kDefaultSoapsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-
-  PMatrix pm;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/false);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.ingest = cal.ingest;
-  }
-
-  BaseOccWindow dense(window_size);
-  WindowLoader loader(
-      text_source(config.alignment_file, config.ingest, ref.size()),
-      ref.size(), window_size);
-  SnpTextWriter writer(config.output_file, ref.name());
-  PriorCache priors(config.prior);
-  const int threads = std::max(1, config.soapsnp_threads);
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, &dense, nullptr);
-    }
-    {
-      const StageScope scope(report.host, tracer, "likeli");
-      type_likely.resize(win.size);
-      if (const auto plan = maybe_plan_batches(config, obs.offsets, report)) {
-        for (const SiteBatch& b : plan->batches) {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-          for (i64 s = b.begin; s < static_cast<i64>(b.end); ++s)
-            type_likely[static_cast<std::size_t>(s)] =
-                likelihood_dense_site(dense.site(static_cast<u32>(s)), pm);
-        }
-      } else {
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads) \
-    if (threads > 1)
-        for (i64 s = 0; s < static_cast<i64>(win.size); ++s)
-          type_likely[static_cast<std::size_t>(s)] =
-              likelihood_dense_site(dense.site(static_cast<u32>(s)), pm);
-      }
-    }
-    {
-      const StageScope scope(report.host, tracer, "post");
-      window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                       nullptr, threads);
-    }
-    {
-      const StageScope scope(report.host, tracer, "output");
-      writer.write_window(rows);
-    }
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      dense.recycle();
-    }
-  }
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = dense.bytes() + pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, "soapsnp", report);
-  return report;
+  return run_pipeline<SoapsnpEngine>(config);
 }
-
-namespace {
-
-/// Host sparse engine, serial: the bit-exactness reference path.
-RunReport run_host_sparse_serial(const EngineConfig& config,
-                                 const HostSparseOps& ops) {
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  {
-    // cal_p includes temp-file generation plus the new score tables
-    // (paper Table IV note).
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-  }
-
-  BaseWordWindow sparse(window_size);
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  const RleDictFn rle = host_rle_dict();
-  PriorCache priors(config.prior);
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-  u64 max_words = 0;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, nullptr, &sparse);
-      max_words = std::max<u64>(max_words, sparse.words.size());
-    }
-    {
-      // The aggregate "likeli" component is measured directly as the scope
-      // enclosing both phases (it used to be reconstructed afterwards as
-      // sort + comp, which silently drifted from what a wall clock around
-      // the stage would have read).
-      const StageScope likeli_scope(report.host, tracer, "likeli");
-      {
-        const StageScope sort_scope(report.host, tracer, "likeli_sort");
-        likelihood_sort_cpu(sparse);
-      }
-      {
-        StageScope comp_scope(report.host, tracer, "likeli_comp");
-        if (ops.simd_level != nullptr) {
-          comp_scope.note("backend", ops.engine);
-          comp_scope.note("simd", ops.simd_level);
-        }
-        type_likely.resize(win.size);
-        if (const auto plan =
-                maybe_plan_batches(config, sparse.offsets, report)) {
-          for (const SiteBatch& b : plan->batches)
-            for (u32 s = b.begin; s < b.end; ++s)
-              type_likely[s] = ops.sparse_site(sparse.site(s), *npm);
-        } else {
-          for (u32 s = 0; s < win.size; ++s)
-            type_likely[s] = ops.sparse_site(sparse.site(s), *npm);
-        }
-      }
-    }
-    {
-      StageScope scope(report.host, tracer, "post");
-      if (ops.simd_level != nullptr) {
-        scope.note("backend", ops.engine);
-        scope.note("simd", ops.simd_level);
-      }
-      window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                       nullptr, 1, ops.select);
-    }
-    {
-      const StageScope scope(report.host, tracer, "output");
-      writer.write_window(rows, rle);
-    }
-    {
-      const StageScope scope(report.host, tracer, "recycle");
-      sparse.reset(window_size);
-    }
-  }
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  record_run_metrics(tracer, ops.engine, report);
-  return report;
-}
-
-}  // namespace
 
 RunReport run_gsnp_cpu(const EngineConfig& config) {
   static constexpr HostSparseOps kScalarOps{
       "gsnp_cpu", nullptr, &likelihood_sparse_site, &select_genotype};
-  return config.streams >= 2 ? run_host_sparse_overlapped(config, kScalarOps)
-                             : run_host_sparse_serial(config, kScalarOps);
+  return run_pipeline<HostSparseEngine>(config, kScalarOps);
 }
 
 RunReport run_gsnp_simd(const EngineConfig& config) {
@@ -1084,9 +902,7 @@ RunReport run_gsnp_simd(const EngineConfig& config) {
   const simd::Kernels& kernels = simd::active_kernels();
   const HostSparseOps ops{"gsnp_simd", simd::level_name(kernels.level),
                           kernels.sparse_site, kernels.select_genotype};
-  RunReport report = config.streams >= 2
-                         ? run_host_sparse_overlapped(config, ops)
-                         : run_host_sparse_serial(config, ops);
+  RunReport report = run_pipeline<HostSparseEngine>(config, ops);
   if (config.tracer != nullptr)
     config.tracer->metrics().add(std::string("simd_level_") +
                                  simd::level_name(kernels.level));
@@ -1095,267 +911,7 @@ RunReport run_gsnp_simd(const EngineConfig& config) {
 
 RunReport run_gsnp(const EngineConfig& config, device::Device& dev,
                    const device::PerfModel& model) {
-  if (config.streams >= 2) return run_gsnp_overlapped(config, dev, model);
-  GSNP_CHECK(config.reference != nullptr);
-  const genome::Reference& ref = *config.reference;
-  const u32 window_size =
-      config.window_size ? config.window_size : EngineConfig::kDefaultGsnpWindow;
-  RunReport report;
-  report.sites = ref.size();
-  obs::Tracer* const tracer = config.tracer;
-  const device::DeviceCounters run_start = dev.counters();
-
-  // A device stage: the counter delta over `body` is modeled into GPU
-  // seconds (Table IV's device columns).  The span mirrors the same delta
-  // and model, with host_sec pinned to zero — the wall time `body` burns is
-  // simulator time, not time on the modeled hardware.
-  const auto device_scope = [&](const char* name, auto&& body) {
-    obs::Tracer::Scope span(tracer, name, "stage", &dev, &model);
-    span.set_host_seconds(0.0);
-    const device::DeviceCounters before = dev.counters();
-    body();
-    const device::DeviceCounters delta =
-        device::counters_delta(before, dev.counters());
-    report.device_modeled.add(name, model.seconds(delta));
-  };
-
-  PMatrix pm;
-  std::optional<NewPMatrix> npm;
-  std::optional<DeviceScoreTables> tables;
-  {
-    const StageScope scope(report.host, tracer, "cal_p");
-    CalPResult cal = cal_p_pass(config, /*write_temp=*/true);
-    pm = std::move(cal.pm);
-    report.records = cal.records;
-    report.temp_bytes = cal.temp_bytes;
-    report.ingest = cal.ingest;
-    npm.emplace(pm);
-    // load_table (Fig 2): tables uploaded once, before any likelihood work.
-    device_scope("cal_p", [&] { tables.emplace(dev, pm, *npm); });
-  }
-
-  BaseWordWindow sparse(window_size);
-  WindowLoader loader(temp_source(config.temp_file), ref.size(), window_size);
-  SnpOutputWriter writer(config.output_file, ref.name());
-  // The six quality columns go through the device RLE-DICT kernels; their
-  // modeled time is charged to "output" via the counters delta, and the
-  // *simulation* wall time they burn is subtracted from the measured host
-  // "output" time (the simulator is not the hardware being modeled).
-  PriorCache priors(config.prior);
-  double rle_sim_wall = 0.0;
-  const RleDictFn rle = [&dev, &model, &rle_sim_wall, tracer](
-                            std::span<const u32> column, std::vector<u8>& out) {
-    obs::Tracer::Scope span(tracer, "rle_dict", "compress", &dev, &model);
-    span.set_host_seconds(0.0);
-    const Timer t;
-    compress::device_encode_rle_dict(dev, column, out);
-    rle_sim_wall += t.seconds();
-  };
-
-  WindowRecords win;
-  WindowObs obs;
-  std::vector<SiteStats> stats;
-  std::vector<TypeLikely> type_likely;
-  std::vector<SnpRow> rows;
-  u64 max_words = 0;
-
-  for (;;) {
-    check_cancel(config.cancel, "window");
-    {
-      const StageScope scope(report.host, tracer, "read");
-      if (!loader.next(win)) break;
-    }
-    ++report.windows;
-    {
-      const StageScope scope(report.host, tracer, "count");
-      count_window(win, obs, stats, nullptr, &sparse);
-      max_words = std::max<u64>(max_words, sparse.words.size());
-    }
-
-    // Depth-aware batching: the window is split into the batcher's
-    // position-ordered, byte-budgeted batches and each batch runs the full
-    // device chain (upload, multipass sort, likelihood, posterior) on a
-    // rebased CSR slice before the next begins.  Per-site arithmetic is
-    // batch-invariant and rows are still assembled and written once per
-    // window, so output is byte-identical to the fixed-window else-branch;
-    // only the launch geometry (and hence the device counters) changes.
-    // Each batch's actual allocation watermark is measured against its
-    // planned peak — the property the admission budget relies on.
-    if (const auto plan = maybe_plan_batches(config, sparse.offsets, report)) {
-      std::vector<GenotypePriors> window_priors(win.size);
-      {
-        const StageScope scope(report.host, tracer, "post");
-        for (u32 s = 0; s < win.size; ++s) {
-          const u64 pos = win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      type_likely.resize(win.size);
-      std::vector<PosteriorCall> calls(win.size);
-      for (const SiteBatch& b : plan->batches) {
-        obs::Tracer::Scope batch_span(tracer, "batch", "batcher", &dev,
-                                      &model);
-        batch_span.set_host_seconds(0.0);
-        batch_span.note("sites", std::to_string(b.sites()));
-        batch_span.note("words", std::to_string(b.words()));
-        batch_span.note("planned_peak_bytes",
-                        std::to_string(b.planned_peak_bytes));
-        // Watermark the batch's incremental footprint over the resident
-        // score tables (the budget bounds the batch, not the run baseline;
-        // worst_case_device_bytes accounts for the tables).
-        const u64 batch_base = dev.allocated_bytes();
-        dev.reset_peak_watermark();
-        // Rebased CSR slice: batch-local site i owns words
-        // [boffsets[i], boffsets[i+1]) of the batch's word upload.
-        std::vector<u64> boffsets(b.sites() + 1);
-        for (u32 s = 0; s <= b.sites(); ++s)
-          boffsets[s] = sparse.offsets[b.begin + s] - b.words_begin;
-        {
-          std::optional<device::DeviceBuffer<u32>> words_dev;
-          std::optional<device::DeviceBuffer<u64>> offsets_dev;
-          device_scope("likeli_sort", [&] {
-            {
-              obs::Tracer::Scope h2d(tracer, "h2d:base_word", "transfer",
-                                     &dev, &model);
-              h2d.set_host_seconds(0.0);
-              words_dev.emplace(dev.to_device(
-                  std::span<const u32>(sparse.words)
-                      .subspan(b.words_begin, b.words())));
-            }
-            sortnet::sort_device_multipass_resident(
-                dev, *words_dev, boffsets, sortnet::kDefaultClassBounds,
-                tracer);
-          });
-          device_scope("likeli_comp", [&] {
-            {
-              obs::Tracer::Scope h2d(tracer, "h2d:offsets", "transfer", &dev,
-                                     &model);
-              h2d.set_host_seconds(0.0);
-              offsets_dev.emplace(
-                  dev.to_device(std::span<const u64>(boffsets)));
-            }
-            const std::vector<TypeLikely> btl =
-                device_likelihood_sparse_resident(dev, *words_dev,
-                                                  *offsets_dev, b.sites(),
-                                                  *tables);
-            std::copy(btl.begin(), btl.end(),
-                      type_likely.begin() + b.begin);
-          });
-        }
-        device_scope("post", [&] {
-          const std::vector<PosteriorCall> bcalls = device_posterior(
-              dev,
-              std::span<const TypeLikely>(type_likely)
-                  .subspan(b.begin, b.sites()),
-              std::span<const GenotypePriors>(window_priors)
-                  .subspan(b.begin, b.sites()));
-          std::copy(bcalls.begin(), bcalls.end(), calls.begin() + b.begin);
-        });
-        const u64 actual = dev.peak_since_watermark() - batch_base;
-        report.batch.record_actual(actual);
-        batch_span.note("actual_peak_bytes", std::to_string(actual));
-      }
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                         &calls);
-      }
-    } else {
-    // The window's base_word data goes to the device once and stays
-    // resident through sorting and likelihood (the production data flow);
-    // only the ten log-likelihoods per site come back.  The enclosing
-    // "likeli" span captures the combined counter delta, so its modeled
-    // seconds equal likeli_sort + likeli_comp (the model is linear in the
-    // counters) — the trace stays consistent with the aggregate component.
-    {
-      obs::Tracer::Scope likeli_span(tracer, "likeli", "stage", &dev, &model);
-      likeli_span.set_host_seconds(0.0);
-      std::optional<device::DeviceBuffer<u32>> words_dev;
-      std::optional<device::DeviceBuffer<u64>> offsets_dev;
-
-      // likelihood_sort: multipass batch bitonic, device-resident.
-      device_scope("likeli_sort", [&] {
-        {
-          obs::Tracer::Scope h2d(tracer, "h2d:base_word", "transfer", &dev,
-                                 &model);
-          h2d.set_host_seconds(0.0);
-          words_dev.emplace(
-              dev.to_device(std::span<const u32>(sparse.words)));
-        }
-        sortnet::sort_device_multipass_resident(
-            dev, *words_dev, sparse.offsets, sortnet::kDefaultClassBounds,
-            tracer);
-      });
-
-      // likelihood_comp: the optimized kernel (shared memory + new table).
-      device_scope("likeli_comp", [&] {
-        {
-          obs::Tracer::Scope h2d(tracer, "h2d:offsets", "transfer", &dev,
-                                 &model);
-          h2d.set_host_seconds(0.0);
-          offsets_dev.emplace(
-              dev.to_device(std::span<const u64>(sparse.offsets)));
-        }
-        type_likely = device_likelihood_sparse_resident(
-            dev, *words_dev, *offsets_dev, win.size, *tables);
-      });
-    }
-
-    {
-      // Posterior: prior construction + genotype selection on the device
-      // (modeled), statistics assembly on the host (measured).
-      std::vector<GenotypePriors> window_priors(win.size);
-      std::vector<PosteriorCall> calls;
-      {
-        const StageScope scope(report.host, tracer, "post");
-        for (u32 s = 0; s < win.size; ++s) {
-          const u64 pos = win.start + s;
-          const genome::KnownSnpEntry* known =
-              config.dbsnp ? config.dbsnp->find(pos) : nullptr;
-          window_priors[s] = priors.get(ref.base(pos), known);
-        }
-      }
-      device_scope("post",
-                   [&] { calls = device_posterior(dev, type_likely,
-                                                  window_priors); });
-      {
-        const StageScope scope(report.host, tracer, "post");
-        window_posterior(config, priors, win, obs, stats, type_likely, rows,
-                         &calls);
-      }
-    }
-    }
-    {
-      // Host output seconds = wall time minus the simulator wall burned
-      // inside the RLE-DICT kernels (their time is modeled, not measured).
-      StageScope scope(report.host, tracer, "output");
-      rle_sim_wall = 0.0;
-      device_scope("output", [&] { writer.write_window(rows, rle); });
-      scope.deduct(rle_sim_wall);
-    }
-    {
-      // Sparse recycle: offsets reset on the host, device buffers are
-      // per-window; the dense 131,072-byte-per-site memset is gone entirely.
-      const StageScope scope(report.host, tracer, "recycle");
-      sparse.reset(window_size);
-    }
-  }
-  report.device_modeled.add("likeli", report.device_modeled.get("likeli_sort") +
-                                          report.device_modeled.get("likeli_comp"));
-  report.output_bytes = writer.finish();
-  report.peak_host_bytes = max_words * sizeof(u32) +
-                           npm->flat().size() * sizeof(double) +
-                           pm.flat().size() * sizeof(double);
-  report.peak_device_bytes = dev.peak_allocated_bytes();
-  report.device_counters = dev.counters();
-  // The serial path has no overlap: modeled wall == the no-overlap baseline.
-  report.modeled_serial_seconds =
-      model.seconds(device::counters_delta(run_start, dev.counters()));
-  report.modeled_wall_seconds = report.modeled_serial_seconds;
-  record_run_metrics(tracer, "gsnp", report);
-  return report;
+  return run_pipeline<GsnpEngine>(config, dev, model);
 }
 
 }  // namespace gsnp::core

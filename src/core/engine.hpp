@@ -21,6 +21,14 @@
 //                    operation counts (see device/perf_model.hpp and
 //                    DESIGN.md); host work is wall-clock.
 //
+// All four entry points run one windowed pipeline driver (engine.cpp): the
+// driver owns the loop over windows — cal_p, the slot ring, prefetch of the
+// next window, ordered deferred output, cancellation, batch planning and the
+// run totals — and each engine supplies only its stages (count into a dense
+// or sparse slot, likelihood + posterior, emit rows).  Serial is the ring at
+// depth 1 (EngineConfig::streams <= 1): every stage inline on the calling
+// thread, device work on the default queue.
+//
 // All engines emit identical SnpRow streams (paper §IV-G); only the
 // container format differs (text vs compressed).  Component times use the
 // paper's seven names: cal_p, read, count, likeli, post, output, recycle.
@@ -87,18 +95,19 @@ struct EngineConfig {
   /// drift.  Null = tracing off (zero overhead).
   obs::Tracer* tracer = nullptr;
 
-  /// Overlapped-pipeline knobs.  `streams <= 1` selects the serial reference
-  /// path (unchanged, the bit-exactness baseline).  `streams >= 2` runs the
-  /// double-buffered pipeline: the GSNP engine issues device work onto a
-  /// StreamPool of `streams` async streams (compute / h2d / output lanes)
-  /// while a host thread pool prefetches (ingests + packs) the next window
-  /// and the previous window's output+compression drains on its own stream;
-  /// the CPU engines prefetch the next window and defer output (SOAPsnp
-  /// text, GSNP_CPU host RLE-DICT) to ordered thread-pool tasks.  All
-  /// arithmetic runs in the same order on the same data as the serial path,
-  /// so output is byte-identical by construction (tests/test_determinism).
+  /// Pipeline width: the depth of the driver's slot ring.  `streams <= 1`
+  /// is depth 1, the serial reference path: every stage runs inline on the
+  /// calling thread and device work goes to the default queue.  `streams >=
+  /// 2` keeps `pipeline_depth` windows in flight: a host thread pool
+  /// prefetches (ingests + counts) the next window while the current one
+  /// computes, and each window's output+compression is deferred so it
+  /// overlaps the next window — on its own device stream in the GSNP engine
+  /// (a StreamPool of `streams` lanes, clamped to [2, 8]: compute / h2d /
+  /// output), as ordered thread-pool tasks in the CPU engines.  The same
+  /// stage code runs in the same order on the same data at every depth, so
+  /// output is byte-identical by construction (tests/test_determinism).
   u32 streams = 1;
-  /// Window slots in flight for the overlapped path (clamped to >= 2).
+  /// Window slots in flight when `streams >= 2` (clamped to >= 2).
   /// SOAPsnp note: each slot owns a dense base_occ window, so memory scales
   /// with depth there; the sparse engines pay ~0.1% of that per slot.
   u32 pipeline_depth = 2;
@@ -122,9 +131,9 @@ struct EngineConfig {
   /// with observed depth.  Output stays byte-identical to the fixed-window
   /// path on every backend (batches never span a window, and per-site
   /// arithmetic is batch-invariant); device counters differ (more, smaller
-  /// launches).  Host backends use the same plan to chunk their per-site
-  /// loops, so RunReport::batch is populated for all four backends.  Throws
-  /// BatchBudgetError if a single site cannot fit.
+  /// launches).  Host backends plan too (their per-site loops need no
+  /// chunking), so RunReport::batch is populated for all four backends.
+  /// Throws BatchBudgetError if a single site cannot fit.
   u64 batch_bytes = 0;
 
   /// Default windows: SOAPsnp 4,000; GSNP / GSNP_CPU 256,000 (paper §VI-A).
@@ -148,8 +157,10 @@ struct RunReport {
   /// per reason), from the cal_p streaming pass.
   IngestStats ingest;
 
-  /// Number of device streams the run actually used (1 = serial path).
-  u32 streams_used = 1;
+  /// Device streams the run issued work on: 0 on the host backends, 1 for
+  /// a serial gsnp run (the default queue), the StreamPool size for an
+  /// overlapped one.
+  u32 streams_used = 0;
   /// Overlap-aware modeled device wall seconds for the whole run: stream
   /// timelines replayed with event dependencies (max across concurrent
   /// streams), plus non-stream device work charged serially.  For the

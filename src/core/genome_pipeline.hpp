@@ -77,9 +77,9 @@ struct GenomeRunConfig {
   PriorParams prior;
   int soapsnp_threads = 1;
   /// Overlapped-pipeline knobs, passed through to every chromosome's
-  /// EngineConfig (see there): streams <= 1 = serial reference path,
-  /// streams >= 2 = double-buffered pipeline.  Output is byte-identical
-  /// either way.
+  /// EngineConfig (see there): streams <= 1 = serial reference path (a
+  /// depth-1 slot ring), streams >= 2 = overlapped slot ring.  Output is
+  /// byte-identical either way.
   u32 streams = 1;
   u32 pipeline_depth = 2;
   u32 host_threads = 2;

@@ -301,6 +301,10 @@ class TracedEngines : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
+  /// One traced gsnp run under the current config_: breakdown, device
+  /// totals, per-kind spans and the metrics export all agree with the report.
+  void expect_gsnp_trace_matches_report();
+
   /// Every component of the report must agree with the trace's per-stage
   /// totals (the acceptance bar is 1%; construction makes it ~exact, the
   /// slack only absorbs floating-point accumulation-order noise).
@@ -316,36 +320,70 @@ class TracedEngines : public ::testing::Test {
     }
   }
 
+  /// The pipeline shapes each engine is traced under: the serial path, the
+  /// overlapped slot ring, and (device engine) a real batch budget on both.
+  struct Shape {
+    const char* label;
+    u32 streams;
+    u64 batch_bytes;
+  };
+  static constexpr Shape kSerial{"serial", 1, 0};
+  static constexpr Shape kRing{"streams=2", 2, 0};
+  static constexpr Shape kBatched{"batch_bytes=256KiB", 1, 256 << 10};
+  static constexpr Shape kRingBatched{"streams=2 batch_bytes=256KiB", 2,
+                                      256 << 10};
+
+  void use(const Shape& shape) {
+    config_.streams = shape.streams;
+    config_.batch_bytes = shape.batch_bytes;
+  }
+
   fs::path dir_;
   genome::Reference ref_;
   core::EngineConfig config_;
 };
 
 TEST_F(TracedEngines, SoapsnpBreakdownMatchesReport) {
-  Tracer tracer;
-  config_.tracer = &tracer;
-  config_.output_file = dir_ / "out.txt";
-  const core::RunReport report = core::run_soapsnp(config_);
-  expect_breakdown_matches(report, tracer);
-  EXPECT_EQ(tracer.metrics().counter("runs_soapsnp"), 1u);
-  EXPECT_EQ(tracer.metrics().counter("sites"), report.sites);
+  for (const Shape& shape : {kSerial, kRing}) {
+    SCOPED_TRACE(shape.label);
+    use(shape);
+    Tracer tracer;
+    config_.tracer = &tracer;
+    config_.output_file = dir_ / "out.txt";
+    const core::RunReport report = core::run_soapsnp(config_);
+    expect_breakdown_matches(report, tracer);
+    EXPECT_EQ(tracer.metrics().counter("runs_soapsnp"), 1u);
+    EXPECT_EQ(tracer.metrics().counter("sites"), report.sites);
+  }
 }
 
 TEST_F(TracedEngines, GsnpCpuBreakdownMatchesReport) {
-  Tracer tracer;
-  config_.tracer = &tracer;
-  config_.output_file = dir_ / "out.bin";
-  const core::RunReport report = core::run_gsnp_cpu(config_);
-  expect_breakdown_matches(report, tracer);
-  // The sub-phase detail rows agree too.
-  const auto breakdown = tracer.stage_breakdown();
-  EXPECT_NEAR(breakdown.at("likeli_sort"), report.host.get("likeli_sort"),
-              1e-9);
-  EXPECT_NEAR(breakdown.at("likeli_comp"), report.host.get("likeli_comp"),
-              1e-9);
+  for (const Shape& shape : {kSerial, kRing}) {
+    SCOPED_TRACE(shape.label);
+    use(shape);
+    Tracer tracer;
+    config_.tracer = &tracer;
+    config_.output_file = dir_ / "out.bin";
+    const core::RunReport report = core::run_gsnp_cpu(config_);
+    expect_breakdown_matches(report, tracer);
+    // The sub-phase detail rows agree too.
+    const auto breakdown = tracer.stage_breakdown();
+    EXPECT_NEAR(breakdown.at("likeli_sort"), report.host.get("likeli_sort"),
+                1e-9);
+    EXPECT_NEAR(breakdown.at("likeli_comp"), report.host.get("likeli_comp"),
+                1e-9);
+  }
 }
 
 TEST_F(TracedEngines, GsnpBreakdownAndDeviceTotalsMatchReport) {
+  for (const Shape& shape : {kSerial, kRing, kBatched, kRingBatched}) {
+    SCOPED_TRACE(shape.label);
+    use(shape);
+    expect_gsnp_trace_matches_report();
+  }
+}
+
+void TracedEngines::expect_gsnp_trace_matches_report() {
   Tracer tracer;
   config_.tracer = &tracer;
   config_.output_file = dir_ / "out.bin";
