@@ -77,10 +77,10 @@ run_service_chaos_smoke() {
       --workdir "${builddir}/bench_service_work"
 }
 
-echo "== sanitizers: ASan+UBSan build, robustness + device + pipeline + engine + fuzz + service =="
+echo "== sanitizers: ASan+UBSan build, common + robustness + device + pipeline + engine + fuzz + service =="
 cmake -B build-asan -S . -DGSNP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j >/dev/null
-ctest --test-dir build-asan --output-on-failure -R 'robustness|device|pipeline|engine|test_obs|fuzz|sam|test_service|histogram|eventlog|batcher'
+ctest --test-dir build-asan --output-on-failure -R 'common|robustness|device|pipeline|engine|test_obs|fuzz|sam|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under ASan: fault matrix, fsck corpus, socket chaos =="
 ctest --test-dir build-asan --output-on-failure -R 'fsfault|fsck|chaos'
@@ -92,15 +92,12 @@ echo "== overlap: serial vs streamed runs are bit-identical, wall strictly lower
 cmake --build build -j --target bench_overlap >/dev/null
 ./build/bench/bench_overlap --workdir build/bench_overlap_work
 
-echo "== TSan: determinism battery + obs/profiler/device under ThreadSanitizer =="
-# GSNP_OPENMP=OFF: libgomp is not TSan-instrumented and trips false
-# positives on its internal barriers; the thread-pool/stream machinery is
-# what this stage is after.
-cmake -B build-tsan -S . -DGSNP_SANITIZE=thread -DGSNP_OPENMP=OFF \
+echo "== TSan: determinism battery + common/obs/profiler/device under ThreadSanitizer =="
+cmake -B build-tsan -S . -DGSNP_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure \
-      -R 'determinism|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
+      -R 'determinism|common|test_obs|profiler|device|test_service|histogram|eventlog|batcher'
 
 echo "== storage/network chaos under TSan: injector + spool + socket thread-safety =="
 ctest --test-dir build-tsan --output-on-failure -R 'fsfault|fsck|chaos'

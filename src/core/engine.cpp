@@ -100,20 +100,19 @@ CalPResult cal_p_pass(const EngineConfig& config, bool write_temp) {
 /// Posterior for a whole window -> rows (shared by all engines; identical
 /// results by construction).  When `device_calls` is non-null the genotype
 /// selection came from the device posterior kernel; only the statistics
-/// columns are assembled on the host.
+/// columns are assembled on the host.  `lanes` caps the parallel_for
+/// (1 = inline on the calling thread).
 void window_posterior(const EngineConfig& config, PriorCache& priors,
                       const WindowRecords& win, const WindowObs& obs,
                       const std::vector<SiteStats>& stats,
                       const std::vector<TypeLikely>& type_likely,
                       std::vector<SnpRow>& rows,
                       const std::vector<PosteriorCall>* device_calls = nullptr,
-                      int threads = 1,
+                      std::size_t lanes = 1,
                       simd::SelectFn select = &select_genotype) {
   const genome::Reference& ref = *config.reference;
   rows.resize(win.size);
-#pragma omp parallel for schedule(static) num_threads(threads) \
-    if (threads > 1)
-  for (i64 si = 0; si < static_cast<i64>(win.size); ++si) {
+  parallel_for(win.size, 1024, [&](std::size_t si, std::size_t) {
     const u32 s = static_cast<u32>(si);
     const u64 pos = win.start + s;
     const genome::KnownSnpEntry* known =
@@ -131,7 +130,7 @@ void window_posterior(const EngineConfig& config, PriorCache& priors,
     }
     rows[s] = assemble_row(pos, ref.base(pos), known != nullptr, call,
                            stats[s], obs.site(s), obs.site_hits(s));
-  }
+  }, lanes);
 }
 
 /// Window-pass record source over the raw text (SOAPsnp engine).  The cal_p
@@ -436,11 +435,13 @@ class SoapsnpEngine {
     {
       const StageScope scope(report_.host, config_.tracer, "likeli");
       type_likely_.resize(s.win.size);
-#pragma omp parallel for schedule(dynamic, 64) num_threads(threads_) \
-    if (threads_ > 1)
-      for (i64 i = 0; i < static_cast<i64>(s.win.size); ++i)
-        type_likely_[static_cast<std::size_t>(i)] = likelihood_dense_site(
-            s.store.site(static_cast<u32>(i)), pm_);
+      parallel_for(
+          s.win.size, 64,
+          [&](std::size_t i, std::size_t) {
+            type_likely_[i] =
+                likelihood_dense_site(s.store.site(static_cast<u32>(i)), pm_);
+          },
+          threads_);
     }
     const StageScope scope(report_.host, config_.tracer, "post");
     window_posterior(config_, priors_, s.win, s.obs, s.stats, type_likely_,
@@ -459,7 +460,7 @@ class SoapsnpEngine {
   const EngineConfig& config_;
   RunReport& report_;
   PriorCache priors_;
-  const int threads_;
+  const int threads_;  // parallel_for lane cap; 1 = inline
   PMatrix pm_;
   std::vector<TypeLikely> type_likely_;
   std::optional<SnpTextWriter> writer_;

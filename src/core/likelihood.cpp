@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/adjust.hpp"
 #include "src/core/log_table.hpp"
 
@@ -105,12 +106,10 @@ TypeLikely likelihood_sparse_site(std::span<const u32> sorted_words,
 }
 
 void likelihood_sort_cpu(BaseWordWindow& window) {
-  const i64 n = static_cast<i64>(window.window_size());
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (i64 s = 0; s < n; ++s) {
+  parallel_for(window.window_size(), 1024, [&](std::size_t s, std::size_t) {
     auto site = window.site(static_cast<u32>(s));
     std::sort(site.begin(), site.end());
-  }
+  });
 }
 
 }  // namespace gsnp::core

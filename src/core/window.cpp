@@ -68,7 +68,6 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
   obs_out.offsets.assign(static_cast<std::size_t>(w) + 1, 0);
   obs_out.obs.clear();
   obs_out.hits.clear();
-  if (sparse) sparse->reset(w);
 
   // Pass 1: per-site observation counts (for CSR offsets).
   for (const auto& rec : win.records) {
@@ -124,7 +123,9 @@ void count_window(const WindowRecords& win, WindowObs& obs_out,
 
   if (sparse) {
     // CSR fill of base_word (unique hits only), arrival order within a site.
-    sparse->offsets.assign(static_cast<std::size_t>(w) + 1, 0);
+    // Every offset and word is written, so no reset is needed first.
+    sparse->offsets.resize(static_cast<std::size_t>(w) + 1);
+    sparse->offsets[0] = 0;
     for (u32 s = 0; s < w; ++s) {
       const auto site_hits = obs_out.site_hits(s);
       u64 n = 0;

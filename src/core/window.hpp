@@ -85,6 +85,8 @@ struct SiteStats {
 
 /// Counting pass: records -> arrival-order observations + stats.  The dense
 /// and sparse structures are filled only if non-null (unique hits only).
+/// The dense matrix accumulates, so it must arrive recycled; the sparse CSR
+/// is rebuilt whole, whatever it held.
 void count_window(const WindowRecords& win, WindowObs& obs_out,
                   std::vector<SiteStats>& stats_out, BaseOccWindow* dense,
                   BaseWordWindow* sparse);

@@ -1,15 +1,11 @@
 #include "src/device/device.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
-#include <algorithm>
-#include <mutex>
+#include <exception>
 #include <functional>
 #include <sstream>
 
 #include "src/common/rng.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/device/perf_model.hpp"
 
 namespace gsnp::device {
@@ -82,57 +78,40 @@ void Device::finish_d2h(std::span<std::byte> dst, u32 src_crc) {
 
 void Device::run_blocks(u32 grid_dim, u32 block_dim,
                         const std::function<void(BlockContext&)>& body) {
-#ifdef _OPENMP
-  const int n_workers = std::max(1, omp_get_max_threads());
-#else
-  // Built without OpenMP (e.g. the TSan preset, whose runtime cannot see
-  // into libgomp): blocks run sequentially on the calling thread.
-  const int n_workers = 1;
-#endif
+  // Per-lane shared-memory arenas and counter shards, reduced at the end;
+  // kernels therefore never contend on the device-wide counter struct.  An
+  // arena is sized on its lane's first block, so a small grid allocates
+  // only the lanes it uses.  Every simulated access bumps a shard counter,
+  // so each shard gets its own cache lines: packed 120-byte shards falsely
+  // share lines and cost more than the block parallelism gains.
+  struct alignas(64) Shard {
+    DeviceCounters counters;
+  };
+  const std::size_t width = parallel_width();
+  std::vector<std::vector<std::byte>> arenas(width);
+  std::vector<Shard> shards(width);
 
-  // Per-worker shared-memory arenas and counter shards, reduced at the end;
-  // kernels therefore never contend on the device-wide counter struct.
-  std::vector<std::vector<std::byte>> arenas(
-      static_cast<std::size_t>(n_workers));
-  std::vector<DeviceCounters> shards(static_cast<std::size_t>(n_workers));
-  for (auto& arena : arenas) arena.resize(spec_.shared_bytes);
-
-  // Exceptions cannot cross an OpenMP region boundary; capture the first one
-  // and rethrow after the loop (kernels throw on contract violations such as
-  // out-of-range accesses or shared-memory overflow).  The cancellation flag
-  // makes the abort prompt: once any block has thrown, remaining blocks are
-  // skipped instead of executing the whole grid against a known-failed
-  // launch (OpenMP cannot break out of a parallel for).
-  std::exception_ptr first_error;
-  std::atomic<bool> cancelled{false};
-  std::mutex error_mu;
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 16) num_threads(n_workers)
-#endif
-  for (i64 b = 0; b < static_cast<i64>(grid_dim); ++b) {
-    if (cancelled.load(std::memory_order_relaxed)) continue;
-#ifdef _OPENMP
-    const auto w = static_cast<std::size_t>(omp_get_thread_num());
-#else
-    const std::size_t w = 0;
-#endif
-    BlockContext blk(static_cast<u32>(b), grid_dim, block_dim,
-                     std::span<std::byte>(arenas[w]), &shards[w]);
-    try {
+  // A throwing block (kernels throw on contract violations such as
+  // out-of-range accesses or shared-memory overflow) cancels the blocks not
+  // yet started; parallel_for rethrows it once the running ones finish.
+  std::exception_ptr error;
+  try {
+    parallel_for(grid_dim, 16, [&](std::size_t b, std::size_t lane) {
+      auto& arena = arenas[lane];
+      if (arena.empty()) arena.resize(spec_.shared_bytes);
+      BlockContext blk(static_cast<u32>(b), grid_dim, block_dim,
+                       std::span<std::byte>(arena), &shards[lane].counters);
       body(blk);
-    } catch (...) {
-      cancelled.store(true, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-    }
+    });
+  } catch (...) {
+    error = std::current_exception();
   }
 
   // Shards are reduced exactly once, aborted launch or not: blocks that ran
   // before the cancellation still count (their work happened), blocks that
   // were skipped contributed nothing to their shard.
-  for (const auto& shard : shards) counters_ += shard;
-  if (first_error) std::rethrow_exception(first_error);
+  for (const Shard& shard : shards) counters_ += shard.counters;
+  if (error) std::rethrow_exception(error);
 }
 
 void Device::notify_launch(std::string_view name, u32 grid_dim, u32 block_dim,

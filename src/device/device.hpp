@@ -21,10 +21,10 @@
 // The paper reports per-warp ("PW") counters; benches divide the raw
 // per-thread counts by kWarpSize for presentation.
 //
-// Blocks execute in parallel across host threads (OpenMP); within a block,
-// threads of a phase run sequentially in tid order, which makes every kernel
-// deterministic and race-free by construction provided threads write disjoint
-// global locations within a phase (the CUDA discipline).
+// Blocks execute in parallel across host threads (parallel_for); within a
+// block, threads of a phase run sequentially in tid order, which makes every
+// kernel deterministic and race-free by construction provided threads write
+// disjoint global locations within a phase (the CUDA discipline).
 
 #include <algorithm>
 #include <atomic>
@@ -616,8 +616,8 @@ class Device {
   void verify_transfer(const char* dir, std::span<std::byte> dst, u32 src_crc,
                        u64 seq, bool corrupt);
 
-  /// Type-erased block loop (implemented in device.cpp so the OpenMP pragma
-  /// lives in one translation unit).
+  /// Type-erased block loop (device.cpp): blocks as parallel_for indices,
+  /// each lane with its own shared-memory arena and counter shard.
   void run_blocks(u32 grid_dim, u32 block_dim,
                   const std::function<void(BlockContext&)>& body);
 

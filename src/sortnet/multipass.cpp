@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "src/common/error.hpp"
+#include "src/common/thread_pool.hpp"
 
 namespace gsnp::sortnet {
 
@@ -14,12 +15,10 @@ using device::DeviceBuffer;
 using device::ThreadContext;
 
 void sort_cpu_batch(VarArrays& va) {
-  const i64 n = static_cast<i64>(va.count());
-#pragma omp parallel for schedule(dynamic, 1024)
-  for (i64 i = 0; i < n; ++i) {
-    auto a = va.array(static_cast<u64>(i));
+  parallel_for(va.count(), 1024, [&](std::size_t i, std::size_t) {
+    auto a = va.array(i);
     std::sort(a.begin(), a.end());
-  }
+  });
 }
 
 namespace {

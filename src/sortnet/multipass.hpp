@@ -2,8 +2,9 @@
 // Sorting strategies for a large number of small, variable-size arrays
 // (paper §IV-C and Fig 7).
 //
-//  * sort_cpu_batch       — parallel CPU baseline: one thread sorts one array
-//                           with std::sort (the paper's OpenMP quicksort).
+//  * sort_cpu_batch       — parallel CPU baseline: parallel_for lanes sort
+//                           whole arrays with std::sort (the paper's
+//                           multi-threaded CPU quicksort).
 //  * sort_device_multipass — GSNP's strategy: bucket arrays into size classes,
 //                           pad each class to its own power-of-two batch size,
 //                           and run the batch bitonic primitive per class.

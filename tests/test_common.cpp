@@ -1,10 +1,16 @@
-// Unit tests for src/common: types, RNG, bit I/O, strings, phred, timers.
+// Unit tests for src/common: types, RNG, bit I/O, strings, phred, timers,
+// CRC-32, parallel_for.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/common/bitio.hpp"
@@ -13,6 +19,7 @@
 #include "src/common/phred.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/strings.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/common/types.hpp"
 
@@ -330,28 +337,27 @@ TEST(Timer, ScopeAddsElapsed) {
 
 TEST(Timer, StopwatchSetConcurrentAddsAreExact) {
   // Regression: StopwatchSet had no synchronization while the engines use it
-  // inside and around OpenMP regions — concurrent add() was a data race on
-  // the entries vector.  Hammer it from OpenMP workers across a few names
-  // (forcing both the insert and the accumulate path) and check nothing is
-  // lost, duplicated or torn.
+  // around parallel loops — concurrent add() was a data race on the entries
+  // vector.  Hammer it from parallel_for lanes across a few names (forcing
+  // both the insert and the accumulate path) and check nothing is lost,
+  // duplicated or torn.
+  ASSERT_GE(parallel_width(), 2u) << "the test needs concurrent lanes";
   StopwatchSet set;
   constexpr int kIters = 20'000;
   const char* names[] = {"read", "count", "likeli", "post", "output"};
-#pragma omp parallel for schedule(static)
-  for (int i = 0; i < kIters; ++i) {
+  parallel_for(kIters, 64, [&](std::size_t i, std::size_t) {
     set.add(names[i % 5], 1.0);
     if (i % 100 == 0) (void)set.total();  // concurrent reads too
-  }
+  });
   for (const char* name : names) EXPECT_DOUBLE_EQ(set.get(name), kIters / 5.0);
   EXPECT_DOUBLE_EQ(set.total(), static_cast<double>(kIters));
   EXPECT_EQ(set.entries().size(), 5u);
 
   // Scopes from concurrent workers must also be safe (the engine pattern).
   StopwatchSet scoped;
-#pragma omp parallel for schedule(dynamic, 8)
-  for (int i = 0; i < 256; ++i) {
+  parallel_for(256, 8, [&](std::size_t i, std::size_t) {
     const auto scope = scoped.scope(names[i % 5]);
-  }
+  });
   EXPECT_EQ(scoped.entries().size(), 5u);
   EXPECT_GE(scoped.total(), 0.0);
 }
@@ -392,6 +398,138 @@ TEST(Crc32, DetectsSingleBitFlips) {
     if (copy == data) continue;
     EXPECT_NE(crc32(copy.data(), copy.size()), clean);
   }
+}
+
+// ---- parallel_for ----------------------------------------------------------
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 2u, 15u, 16u, 17u, 1000u, 4099u}) {
+    for (const std::size_t grain : {0u, 1u, 3u, 16u, 1024u}) {
+      for (const std::size_t max_lanes : {0u, 1u, 3u}) {
+        std::vector<std::atomic<int>> hits(n);
+        parallel_for(
+            n, grain,
+            [&](std::size_t i, std::size_t) {
+              hits[i].fetch_add(1, std::memory_order_relaxed);
+            },
+            max_lanes);
+        std::size_t wrong = 0;
+        for (const auto& h : hits) wrong += h.load() != 1;
+        EXPECT_EQ(wrong, 0u) << "n=" << n << " grain=" << grain
+                             << " max_lanes=" << max_lanes;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, NoTwoRunningBodiesShareALane) {
+  // Bodies linger briefly so several run at once; each marks its lane busy
+  // and counts how many run concurrently.
+  const std::size_t width = parallel_width();
+  for (const std::size_t max_lanes : {0u, 2u}) {
+    std::vector<std::atomic<int>> busy(width);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    std::atomic<bool> shared{false};
+    std::atomic<bool> out_of_range{false};
+    parallel_for(
+        2000, 1,
+        [&](std::size_t, std::size_t lane) {
+          if (lane >= width) {
+            out_of_range = true;
+            return;
+          }
+          if (busy[lane].exchange(1)) shared = true;
+          const int now = running.fetch_add(1) + 1;
+          int seen = peak.load();
+          while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(10));
+          running.fetch_sub(1);
+          busy[lane].store(0);
+        },
+        max_lanes);
+    EXPECT_FALSE(shared.load()) << "max_lanes=" << max_lanes;
+    EXPECT_FALSE(out_of_range.load()) << "max_lanes=" << max_lanes;
+    if (max_lanes != 0) {
+      EXPECT_LE(peak.load(), static_cast<int>(max_lanes)) << "cap exceeded";
+    }
+  }
+}
+
+TEST(ParallelFor, FirstExceptionIsRethrownAndLaterChunksSkipped) {
+  constexpr std::size_t kN = 1 << 16;
+  for (const std::size_t max_lanes : {0u, 1u}) {
+    std::atomic<std::size_t> executed{0};
+    try {
+      parallel_for(
+          kN, 16,
+          [&](std::size_t i, std::size_t) {
+            executed.fetch_add(1, std::memory_order_relaxed);
+            if (i == 0) throw std::runtime_error("index 0 failed");
+          },
+          max_lanes);
+      ADD_FAILURE() << "no exception, max_lanes=" << max_lanes;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 0 failed");
+    }
+    // Index 0 opens the first chunk claimed, so the cancellation lands
+    // almost at once; only chunks already running on other lanes finish.
+    EXPECT_LT(executed.load(), kN) << "max_lanes=" << max_lanes;
+    if (max_lanes == 1) {
+      EXPECT_EQ(executed.load(), 1u);
+    }
+  }
+
+  // When every body throws, exactly one exception reaches the caller.
+  std::atomic<std::size_t> thrown{0};
+  EXPECT_THROW(parallel_for(kN, 1,
+                            [&](std::size_t, std::size_t) {
+                              thrown.fetch_add(1);
+                              throw std::logic_error("each body throws");
+                            }),
+               std::logic_error);
+  EXPECT_LE(thrown.load(), parallel_width());
+}
+
+TEST(ParallelFor, NestedCallsComplete) {
+  // Bodies on pool workers call parallel_for again, three levels deep; the
+  // inner callers must not wait on workers that are busy being outer lanes.
+  std::atomic<std::size_t> total{0};
+  parallel_for(32, 1, [&](std::size_t, std::size_t) {
+    parallel_for(16, 1, [&](std::size_t, std::size_t) {
+      parallel_for(100, 10, [&](std::size_t, std::size_t) {
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  });
+  EXPECT_EQ(total.load(), 32u * 16u * 100u);
+}
+
+TEST(ParallelFor, ConcurrentCallersComplete) {
+  // Two threads share the one pool (the daemon-workers-launching-kernels
+  // pattern); each call keeps its own lanes and its own sum.
+  constexpr int kCalls = 200;
+  constexpr std::size_t kN = 1000;
+  std::atomic<std::size_t> totals[2] = {};
+  std::atomic<bool> shared{false};
+  const auto caller = [&](int t) {
+    for (int k = 0; k < kCalls; ++k) {
+      std::vector<std::atomic<int>> busy(parallel_width());
+      parallel_for(kN, 8, [&](std::size_t, std::size_t lane) {
+        if (busy[lane].exchange(1)) shared = true;
+        totals[t].fetch_add(1, std::memory_order_relaxed);
+        busy[lane].store(0);
+      });
+    }
+  };
+  std::thread a(caller, 0);
+  std::thread b(caller, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(totals[0].load(), kCalls * kN);
+  EXPECT_EQ(totals[1].load(), kCalls * kN);
+  EXPECT_FALSE(shared.load());
 }
 
 }  // namespace
